@@ -34,6 +34,7 @@ CRITICAL_MODULES = frozenset(
         "src/repro/core/partition.py",
         "src/repro/core/factor_tables.py",
         "src/repro/core/vector_featurize.py",
+        "src/repro/detect/hypergraph.py",
     }
 )
 

@@ -63,7 +63,7 @@ class HolisticRepair(RepairMethod):
         for _round in range(self.max_rounds):
             deadline.check(self.name)
             detection = detector.detect(working)
-            if not detection.hypergraph.violations:
+            if not len(detection.hypergraph):
                 break
             changed = self._repair_round(working, detection, deadline)
             for cell, value in changed.items():
@@ -84,10 +84,12 @@ class HolisticRepair(RepairMethod):
     def _repair_round(self, working: Dataset, detection,
                       deadline: Deadline) -> dict[Cell, str]:
         """One vertex-cover round: fix high-degree cells first."""
-        violations_of: dict[Cell, list] = defaultdict(list)
-        for violation in detection.hypergraph.violations:
+        violations = detection.hypergraph.violations
+        # Cell → indices (into ``violations``) of the violations it is in.
+        violations_of: dict[Cell, list[int]] = defaultdict(list)
+        for index, violation in enumerate(violations):
             for cell in violation.cells:
-                violations_of[cell].append(violation)
+                violations_of[cell].append(index)
 
         # Greedy approximate vertex cover: descending violation degree.
         ordered = sorted(violations_of,
@@ -96,22 +98,20 @@ class HolisticRepair(RepairMethod):
         changed: dict[Cell, str] = {}
         for cell in ordered:
             deadline.check(self.name)
-            pending = [v for v in violations_of[cell]
-                       if id(v) not in resolved]
+            pending = [i for i in violations_of[cell] if i not in resolved]
             if not pending:
                 continue  # this cell's conflicts were already covered
             # Value determination uses the cell's FULL violation context
             # (the repair context of the published algorithm), not just
             # the still-unresolved part — contradictions must be visible
             # regardless of processing order.
-            new_value = self._determine_value(working, cell,
-                                              violations_of[cell])
+            new_value = self._determine_value(
+                working, cell, [violations[i] for i in violations_of[cell]])
             if new_value is None:
                 continue
             working.set_value(cell.tid, cell.attribute, new_value)
             changed[cell] = new_value
-            for violation in pending:
-                resolved.add(id(violation))
+            resolved.update(pending)
         return changed
 
     # ------------------------------------------------------------------

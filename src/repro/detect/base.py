@@ -10,6 +10,8 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.dataset.dataset import Cell, Dataset
 from repro.detect.hypergraph import ConflictHypergraph
 
@@ -35,6 +37,26 @@ class DetectionResult:
             for a in attrs
             if Cell(tid, a) not in self.noisy_cells
         ]
+
+    def __getstate__(self) -> dict:
+        # Noisy cells travel as a tid array plus attribute codes: service
+        # checkpoints pickle this on every feedback round.
+        state = dict(self.__dict__)
+        cells = state.pop("noisy_cells")
+        names = sorted({c.attribute for c in cells})
+        code = {a: i for i, a in enumerate(names)}
+        state["noisy_cells"] = (
+            names,
+            np.array([c.tid for c in cells], dtype=np.int32),
+            np.array([code[c.attribute] for c in cells], dtype=np.int32),
+        )
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        names, tids, codes = state.pop("noisy_cells")
+        attrs = np.asarray(names, dtype=object)[codes].tolist()
+        self.__dict__.update(state)
+        self.noisy_cells = set(map(Cell._make, zip(tids.tolist(), attrs)))
 
     def merge(self, other: "DetectionResult") -> None:
         self.noisy_cells |= other.noisy_cells

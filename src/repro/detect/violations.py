@@ -1,9 +1,10 @@
 """Denial-constraint violation detection.
 
 For each constraint the detector enumerates violating tuples (single-tuple
-constraints) or tuple pairs (two-tuple constraints) and emits one
-:class:`~repro.detect.hypergraph.Violation` hyperedge per finding.  Cells
-named by the constraint's predicates on the violating tuples become noisy.
+constraints) or tuple pairs (two-tuple constraints) and records one
+hyperedge per finding — a row of the constraint's tid block in the
+:class:`~repro.detect.hypergraph.ConflictHypergraph`.  Cells named by the
+constraint's predicates on the violating tuples become noisy.
 
 Two-tuple constraints are evaluated with a hash join on their equality
 predicates — the same strategy DeepDive's grounding queries use — so a
@@ -29,9 +30,9 @@ import numpy as np
 
 from repro.constraints.denial import DenialConstraint
 from repro.constraints.predicates import Operator, Predicate, TupleRef
-from repro.dataset.dataset import Cell, Dataset
+from repro.dataset.dataset import Dataset
 from repro.detect.base import DetectionResult, ErrorDetector
-from repro.detect.hypergraph import ConflictHypergraph, Violation
+from repro.detect.hypergraph import ConflictHypergraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine import Engine
@@ -112,12 +113,9 @@ class ViolationDetector(ErrorDetector):
     # ------------------------------------------------------------------
     def _detect_single(self, dataset: Dataset, dc: DenialConstraint,
                        hypergraph: ConflictHypergraph) -> None:
-        attrs = sorted(dc.attributes_of(1))
-        for tid in dataset.tuple_ids:
-            values = dataset.tuple_dict(tid)
-            if dc.violates(values):
-                cells = tuple(Cell(tid, a) for a in attrs)
-                hypergraph.add(Violation(dc.name, (tid,), cells))
+        hits = [tid for tid in dataset.tuple_ids
+                if dc.violates(dataset.tuple_dict(tid))]
+        _record(hypergraph, dc, hits, arity=1)
 
     # ------------------------------------------------------------------
     # Two-tuple constraints via hash join
@@ -131,9 +129,7 @@ class ViolationDetector(ErrorDetector):
             pair_iter = self._all_pairs(dataset)
 
         residuals = dc.residual_predicates
-        attrs1 = sorted(dc.attributes_of(1))
-        attrs2 = sorted(dc.attributes_of(2))
-        recorded = 0
+        found: list[tuple[int, int]] = []
         row_cache = _RowDictCache(dataset)
         for t1, t2 in pair_iter:
             v1 = row_cache.get(t1)
@@ -145,17 +141,12 @@ class ViolationDetector(ErrorDetector):
             violated_backward = (not violated_forward
                                  and all(p.evaluate(v2, v1) for p in residuals))
             if violated_forward:
-                cells = (tuple(Cell(t1, a) for a in attrs1)
-                         + tuple(Cell(t2, a) for a in attrs2))
-                hypergraph.add(Violation(dc.name, (t1, t2), cells))
-                recorded += 1
+                found.append((t1, t2))
             elif violated_backward:
-                cells = (tuple(Cell(t2, a) for a in attrs1)
-                         + tuple(Cell(t1, a) for a in attrs2))
-                hypergraph.add(Violation(dc.name, (t2, t1), cells))
-                recorded += 1
-            if recorded >= self.max_pairs_per_constraint:
+                found.append((t2, t1))
+            if len(found) >= self.max_pairs_per_constraint:
                 break
+        _record(hypergraph, dc, found, arity=2)
 
     def _hash_join_pairs(self, dataset: Dataset, joins: list[Predicate]):
         """Yield unordered candidate pairs sharing all join keys."""
@@ -223,24 +214,14 @@ class ViolationDetector(ErrorDetector):
         candidates = np.nonzero(forward | backward)[0]
         if not len(candidates):
             return
-        attrs1 = sorted(dc.attributes_of(1))
-        attrs2 = sorted(dc.attributes_of(2))
-
         if not python:
             # Every candidate is a violation; orient each pair the way the
-            # naive forward/backward checks would and materialise in bulk.
+            # naive forward/backward checks would and store them as arrays.
             candidates = candidates[: self.max_pairs_per_constraint]
             fwd_c = forward[candidates]
-            first = np.where(fwd_c, t1s[candidates], t2s[candidates]).tolist()
-            second = np.where(fwd_c, t2s[candidates], t1s[candidates]).tolist()
-            name = dc.name
-            make_cell = Cell._make  # skips the per-field constructor frame
-            hypergraph.add_many(name, [
-                Violation(name, (a, b),
-                          tuple([make_cell((a, x)) for x in attrs1]
-                                + [make_cell((b, x)) for x in attrs2]))
-                for a, b in zip(first, second)
-            ])
+            first = np.where(fwd_c, t1s[candidates], t2s[candidates])
+            second = np.where(fwd_c, t2s[candidates], t1s[candidates])
+            _record(hypergraph, dc, np.column_stack((first, second)), arity=2)
             return
 
         fwd = forward[candidates].tolist()
@@ -248,7 +229,7 @@ class ViolationDetector(ErrorDetector):
         t1_list = t1s[candidates].tolist()
         t2_list = t2s[candidates].tolist()
 
-        recorded = 0
+        found: list[tuple[int, int]] = []
         row_cache = _RowDictCache(dataset)
         for k, (t1, t2) in enumerate(zip(t1_list, t2_list)):
             v1 = row_cache.get(t1)
@@ -258,17 +239,12 @@ class ViolationDetector(ErrorDetector):
             violated_backward = (not violated_forward and bwd[k]
                                  and all(p.evaluate(v2, v1) for p in python))
             if violated_forward:
-                cells = (tuple(Cell(t1, a) for a in attrs1)
-                         + tuple(Cell(t2, a) for a in attrs2))
-                hypergraph.add(Violation(dc.name, (t1, t2), cells))
-                recorded += 1
+                found.append((t1, t2))
             elif violated_backward:
-                cells = (tuple(Cell(t2, a) for a in attrs1)
-                         + tuple(Cell(t1, a) for a in attrs2))
-                hypergraph.add(Violation(dc.name, (t2, t1), cells))
-                recorded += 1
-            if recorded >= self.max_pairs_per_constraint:
+                found.append((t2, t1))
+            if len(found) >= self.max_pairs_per_constraint:
                 break
+        _record(hypergraph, dc, found, arity=2)
 
     def _all_pairs(self, dataset: Dataset):
         n = dataset.num_tuples
@@ -280,6 +256,20 @@ class ViolationDetector(ErrorDetector):
         for t1 in range(n):
             for t2 in range(t1 + 1, n):
                 yield t1, t2
+
+
+def _record(hypergraph: ConflictHypergraph, dc: DenialConstraint, tids,
+            arity: int) -> None:
+    """Record violations of ``dc`` as one block of oriented tid rows.
+
+    A violation's cells are the attributes the predicates read from t1
+    (sorted) on its first tuple, then those read from t2 (sorted) on its
+    second.
+    """
+    layout = (tuple((0, a) for a in sorted(dc.attributes_of(1)))
+              + tuple((1, a) for a in sorted(dc.attributes_of(2))))
+    rows = np.asarray(tids, dtype=np.int32).reshape(-1, arity)
+    hypergraph.add_block(dc.name, rows, layout)
 
 
 def _is_vectorizable(pred: Predicate) -> bool:

@@ -47,8 +47,9 @@ from repro.obs import get_logger
 log = get_logger("serve.checkpoint")
 
 #: Bump when the on-disk layout changes; mismatched checkpoints are
-#: rejected (the session simply pays a cold run).
-FORMAT_VERSION = 1
+#: rejected (the session simply pays a cold run).  Version 2 stores the
+#: conflict hypergraph in ``detect.pkl`` as per-constraint tid arrays.
+FORMAT_VERSION = 2
 
 #: Stage name → the context artifacts serialized in that stage's file.
 STAGE_ARTIFACTS = (
@@ -193,8 +194,12 @@ class CheckpointStore:
         try:
             with path.open("rb") as handle:
                 return pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError) as exc:
-            raise CheckpointError(f"cannot deserialize {path}: {exc}")
+        except Exception as exc:
+            # Unpickling damaged or foreign bytes can raise nearly anything
+            # (KeyError from a ``__setstate__``, ImportError, ValueError…);
+            # every such failure means the same thing: this checkpoint is
+            # unusable and the session pays a cold run.
+            raise CheckpointError(f"cannot deserialize {path}: {exc!r}") from exc
 
     @staticmethod
     def _verify(sid: str, meta: dict, ctx: RepairContext) -> None:

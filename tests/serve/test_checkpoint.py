@@ -9,6 +9,8 @@ and through the feedback path too.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -18,9 +20,20 @@ from repro.core.stages import (
     RepairContext,
     RepairPlan,
 )
-from repro.serve.checkpoint import CheckpointError, CheckpointStore
+from repro.detect.hypergraph import ConflictHypergraph
+from repro.serve.checkpoint import FORMAT_VERSION, CheckpointError, CheckpointStore
 
 from tests.serve.conftest import config_for
+
+
+class _OldHypergraph:
+    """Pickles as a ``ConflictHypergraph`` carrying an arbitrary state."""
+
+    def __init__(self, state: dict):
+        self.state = state
+
+    def __reduce__(self):
+        return (object.__new__, (ConflictHypergraph,), self.state)
 
 
 def _fresh_ctx(generated) -> RepairContext:
@@ -158,8 +171,32 @@ class TestStoreMechanics:
         store = CheckpointStore(tmp_path)
         store.save("sid", ctx)
         meta = store.path("sid") / "meta.json"
-        meta.write_text(meta.read_text().replace('"version": 1', '"version": 99'))
+        current = f'"version": {FORMAT_VERSION}'
+        assert current in meta.read_text()
+        meta.write_text(meta.read_text().replace(current, '"version": 99'))
         with pytest.raises(CheckpointError, match="format version"):
+            store.load("sid")
+
+    def test_foreign_stage_file_rejected(self, hospital, tmp_path):
+        # A detect.pkl whose hypergraph carries the old object-list state:
+        # unpickling raises inside __setstate__, which must surface as a
+        # CheckpointError (a cold miss), not escape as a KeyError.
+        ctx = RepairPlan.default().run(_fresh_ctx(hospital))
+        store = CheckpointStore(tmp_path)
+        store.save("sid", ctx)
+        stale = _OldHypergraph({"_violations": [], "_by_constraint": {}})
+        blob = pickle.dumps({"detection": stale})
+        (store.path("sid") / "detect.pkl").write_bytes(blob)
+        with pytest.raises(CheckpointError, match="deserialize"):
+            store.load("sid")
+
+    def test_truncated_stage_file_rejected(self, hospital, tmp_path):
+        ctx = RepairPlan.default().run(_fresh_ctx(hospital))
+        store = CheckpointStore(tmp_path)
+        store.save("sid", ctx)
+        detect = store.path("sid") / "detect.pkl"
+        detect.write_bytes(detect.read_bytes()[:-40])
+        with pytest.raises(CheckpointError, match="deserialize"):
             store.load("sid")
 
     def test_fingerprint_tamper_rejected(self, hospital, tmp_path):

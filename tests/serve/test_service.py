@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core.config import HoloCleanConfig
+from repro.serve.checkpoint import FORMAT_VERSION, CheckpointStore
 from repro.serve.service import (
     BadRequest,
     NotFound,
@@ -270,6 +273,57 @@ class TestLifecycle:
         health = service.health()
         assert health["status"] == "ok"
         assert health["checkpointing"] is True
+
+
+def _v1_meta(directory):
+    meta = directory / "meta.json"
+    data = json.loads(meta.read_text())
+    data["version"] = 1
+    meta.write_text(json.dumps(data))
+
+
+def _truncated_detect(directory):
+    detect = directory / "detect.pkl"
+    blob = detect.read_bytes()
+    detect.write_bytes(blob[: len(blob) // 2])
+
+
+class TestBadCheckpoints:
+    """A checkpoint the service cannot use is a counted cold miss."""
+
+    @pytest.mark.parametrize(
+        "corrupt", [_v1_meta, _truncated_detect], ids=["v1", "truncated"]
+    )
+    def test_bad_checkpoint_pays_cold(self, tmp_path, hospital, corrupt):
+        config = HoloCleanConfig(serve_workers=0, serve_checkpoint_dir=str(tmp_path))
+        payload = payload_for(hospital)
+        with RepairService(config) as first:
+            sid = first.repair(payload)["session"]
+        corrupt(tmp_path / sid)
+
+        svc = RepairService(config)
+        deleted = []
+        delete = svc.checkpoints.delete
+
+        def spy(sid):
+            deleted.append(sid)
+            return delete(sid)
+
+        svc.checkpoints.delete = spy
+        try:
+            response = svc.repair(payload)
+            gauges = svc.metrics_snapshot()["gauges"]
+        finally:
+            svc.close()
+        assert response["path"] == "cold"
+        assert response["session"] == sid
+        assert deleted == [sid]
+        assert gauges["serve.cold_total"] == 1
+        assert gauges["serve.errors_total"] == 0
+        # The cold run wrote a fresh, loadable checkpoint in its place.
+        meta = json.loads((tmp_path / sid / "meta.json").read_text())
+        assert meta["version"] == FORMAT_VERSION
+        assert CheckpointStore(tmp_path).load(sid) is not None
 
 
 class TestProcessPool:
