@@ -21,11 +21,6 @@ Baseline format::
 below ``baseline * (1 - tolerance)``) or ``"lower"`` (smaller is better,
 fail when value rises above ``baseline * (1 + tolerance)``).
 
-A pin may carry ``"min_cpus": N``: it is then checked only when the
-result's ``meta.cpus`` reports at least ``N`` cores, and skipped (with a
-message, not a failure) otherwise — multi-core speedup pins cannot be
-met on an under-provisioned runner.
-
 Stdlib only — runnable in CI before any project dependency is installed.
 """
 
@@ -85,15 +80,7 @@ def main(argv: list[str] | None = None) -> int:
             failures += 1
             continue
         metrics = result.get("metrics", {})
-        meta = result.get("meta", {})
         for metric, pin in sorted(spec.get("metrics", {}).items()):
-            min_cpus = pin.get("min_cpus")
-            if min_cpus is not None:
-                cpus = meta.get("cpus")
-                if cpus is None or int(cpus) < int(min_cpus):
-                    print(f"skip {name}.{metric}: needs >= {min_cpus} CPUs, "
-                          f"result ran on {cpus if cpus else 'unknown'}")
-                    continue
             checked += 1
             if metric not in metrics:
                 print(f"FAIL {name}.{metric}: not in {result_path.name}")

@@ -1,4 +1,4 @@
-"""Config/registry-drift checker: docs and registry snapshots stay live.
+"""Config/registry-drift checker: the configuration docs stay complete.
 
 Two inventories here rot independently of the telemetry ones:
 
@@ -7,10 +7,8 @@ Two inventories here rot independently of the telemetry ones:
   ones) — the docs table is the only place defaults and semantics are
   explained to users;
 * the engine backend registry is populated by ``register_backend``
-  calls at import time, and both the docs and any module-level
-  ``BACKEND_NAMES``-style snapshot must agree with the **live**
-  registry — a snapshot taken before a later ``register_backend`` call
-  silently hides backends from ``__all__`` consumers.
+  calls at import time, and every registered backend must be
+  documented there too.
 """
 
 from __future__ import annotations
@@ -88,7 +86,6 @@ class ConfigDriftChecker(Checker):
         "config-undocumented",
         "config-unknown",
         "backend-undocumented",
-        "backend-snapshot",
     )
     doc_rel = DOC_REL
 
@@ -126,9 +123,8 @@ class ConfigDriftChecker(Checker):
                 )
             )
 
-        doc_text_full = text
         for name, (rel, line) in sorted(registered_backends(ctx).items()):
-            if f"`{name}`" not in doc_text_full:
+            if f"`{name}`" not in text:
                 findings.append(
                     self.finding(
                         "backend-undocumented",
@@ -138,35 +134,4 @@ class ConfigDriftChecker(Checker):
                         f"mentioned in {self.doc_rel}",
                     )
                 )
-
-        findings.extend(self._check_snapshot(ctx))
         return findings
-
-    # ------------------------------------------------------------------
-    def _check_snapshot(self, ctx: AnalysisContext) -> list[Finding]:
-        """Compare the exported ``BACKEND_NAMES`` to the live registry.
-
-        This is the one dynamic check in the suite: a static pass cannot
-        see registration order across imports, so we import the package
-        and compare.  Skipped silently when the engine's dependencies
-        (NumPy) are absent.
-        """
-        try:
-            import repro.engine as engine
-            from repro.engine.backend import backend_names
-        except ImportError:
-            return []
-        snapshot = tuple(getattr(engine, "BACKEND_NAMES", ()))
-        live = tuple(backend_names())
-        if snapshot == live:
-            return []
-        return [
-            self.finding(
-                "backend-snapshot",
-                "src/repro/engine/backend.py",
-                0,
-                f"BACKEND_NAMES snapshot {snapshot!r} disagrees with the "
-                f"live registry {live!r}; export a live view instead of a "
-                "module-load-time copy",
-            ),
-        ]

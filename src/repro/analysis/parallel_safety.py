@@ -1,8 +1,9 @@
 """Parallel-safety checker: work shipped to pools must survive the trip.
 
-``ParallelBackend`` fans grounding tasks out over a ``multiprocessing``
-pool.  Two classes of bug slip silently past tests that happen to run on
-a fork-capable machine:
+The serving layer ships cold repair jobs to a ``ProcessPoolExecutor``,
+and any ``multiprocessing`` pool or ``SharedMemory`` block is held to
+the same rules.  Two classes of bug slip silently past tests that
+happen to run on a fork-capable machine:
 
 * ``pool-callable`` — lambdas, locally nested functions (closures), and
   ``self``-bound methods handed to a Pool API (``map`` / ``apply_async``

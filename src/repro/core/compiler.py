@@ -225,15 +225,6 @@ class ModelCompiler:
                 graph, query_domains)
             grounding.update(factor_grounding)
 
-        # Multi-core fan-out accounting (prune / featurize / factor /
-        # stream dispatches), surfaced as ``grounding_shards_*`` — absent
-        # from single-process runs so their size reports are unchanged.
-        if self.engine is not None:
-            shard = getattr(self.engine.backend, "shard_stats", None)
-            if shard and shard.get("calls"):
-                for key, value in shard.items():
-                    grounding[f"shards_{key}"] = value
-
         relations = CompiledRelations(self.dataset,
                                       {**query_domains, **evidence_domains},
                                       matched=matched,
@@ -266,32 +257,18 @@ class ModelCompiler:
     # ------------------------------------------------------------------
     def _prune_domains(self, pruner: DomainPruner,
                        cells: list[Cell]) -> dict[Cell, list[str]]:
-        """Candidate domains for ``cells``, vectorized / sharded when possible.
+        """Candidate domains for ``cells``, vectorized when possible.
 
         With the default wiring (engine statistics shared end to end and
         ``vector_domains`` on) pruning runs set-at-a-time through
-        :class:`VectorDomainPruner` — sharded across worker processes
-        when the backend can fan out, serial otherwise.  Workers replay
-        the same vectorized kernel over their own engine, so dispatch is
-        only sound when this compiler also prunes through the shared
-        engine statistics; any custom ``stats`` (and
+        :class:`VectorDomainPruner`.  The vectorized kernel reads the
+        shared engine statistics, so any custom ``stats`` (and
         ``vector_domains=False``) keeps the naive per-cell oracle.
-        Output is byte-identical on every path: per-cell pruning is
-        independent and results merge back in cell order.
+        Output is byte-identical on both paths.
         """
         vector = self._vector_pruner
         if vector is None or pruner.stats is not self.stats:
             return pruner.domains(cells)
-        backend = self.engine.backend if self.engine is not None else None
-        prune = getattr(backend, "prune_cells", None)
-        if prune is not None and cells:
-            params = (pruner.tau, pruner.max_domain, pruner.strategy,
-                      tuple(pruner.attributes))
-            results = prune(list(cells), params)
-            if results is not None:
-                vector.tally(len(cells), sum(len(d) for d in results))
-                return {cell: domain
-                        for cell, domain in zip(cells, results) if domain}
         return vector.domains(cells)
 
     # ------------------------------------------------------------------
@@ -486,29 +463,16 @@ class ModelCompiler:
                 self.engine, self.dataset, graph.variables, query_domains,
                 max_table_cells=config.max_factor_table,
                 weight=config.dc_factor_weight)
-        # A sharding backend grounds supported constraints' chunks in
-        # worker processes; the phase context hands workers everything a
-        # builder clone needs (inherited zero-copy under fork).
-        dispatch = None
-        if builder is not None and self.engine is not None:
-            backend = self.engine.backend
-            dispatch = getattr(backend, "factor_chunks", None)
-            if dispatch is not None and any(
-                    builder.supports(dc) for dc in self.constraints):
-                backend.configure(factors=(
-                    self.constraints, graph.variables, query_domains,
-                    config.max_factor_table, config.dc_factor_weight))
         skipped = 0
         pairs = 0
-        for ci, dc in enumerate(self.constraints):
+        for dc in self.constraints:
             with deep_span("compile.ground_dc", constraint=dc.name) as sp:
                 dc_pairs = 0
                 if dc.is_single_tuple:
                     skipped += self._ground_single_tuple_factors(graph, dc)
                 elif builder is not None and builder.supports(dc):
                     dc_pairs, dc_skipped = self._ground_vector_dc(
-                        graph, ci, dc, enumerator, builder, hypergraph,
-                        dispatch)
+                        graph, dc, enumerator, builder, hypergraph)
                     skipped += dc_skipped
                 else:
                     for t1, t2 in enumerator.pairs_for(
@@ -531,37 +495,14 @@ class ModelCompiler:
                  for key, value in builder.stats.items()})
         return skipped, grounding
 
-    def _ground_vector_dc(self, graph: FactorGraph, ci: int,
-                          dc: DenialConstraint, enumerator, builder,
-                          hypergraph, dispatch) -> tuple[int, int]:
-        """Ground one vectorizable constraint's pair chunks.
-
-        With a sharding backend the chunks are buffered and fanned out:
-        each worker runs the same ``_ground_chunk`` over its own builder
-        clone and the parent merges factors, skip counts, and stats
-        deltas back in chunk order — byte-identical to the serial walk.
-        When dispatch is unavailable (or the pool broke mid-run) the
-        chunks ground inline.
-        """
-        config = self.config
+    def _ground_vector_dc(self, graph: FactorGraph, dc: DenialConstraint,
+                          enumerator, builder, hypergraph) -> tuple[int, int]:
+        """Ground one vectorizable constraint's pair chunks, in chunk order."""
         chunks = enumerator.pair_chunks(
-            dc, use_partitioning=config.use_partitioning,
+            dc, use_partitioning=self.config.use_partitioning,
             hypergraph=hypergraph)
         pairs = 0
         skipped = 0
-        if dispatch is not None:
-            buffered = [(ci, left, right) for left, right in chunks]
-            results = dispatch(buffered) if buffered else []
-            if results is not None:
-                for (_, left, _), (factors, chunk_skipped, delta) in zip(
-                        buffered, results):
-                    pairs += len(left)
-                    graph.add_factors(factors)
-                    skipped += chunk_skipped
-                    for key, value in delta.items():
-                        builder.stats[key] += value
-                return pairs, skipped
-            chunks = ((left, right) for _, left, right in buffered)
         for left, right in chunks:
             pairs += len(left)
             factors, chunk_skipped = builder.ground_chunk(dc, left, right)

@@ -121,16 +121,9 @@ class HoloCleanConfig:
     #: Execution backend for the engine, by registry name (see
     #: :func:`repro.engine.backend.register_backend`): ``"numpy"``
     #: (vectorized arrays, default), ``"sqlite"`` (in-memory DBMS
-    #: grounding, the paper's original architecture), ``"parallel"``
-    #: (multi-core sharded grounding), or any backend registered by an
-    #: extension.
+    #: grounding, the paper's original architecture), or any backend
+    #: registered by an extension.
     engine_backend: str = "numpy"
-
-    #: Worker processes for sharded grounding: ``0`` (default) keeps the
-    #: single-process path; ``n >= 1`` wraps the engine backend in a
-    #: :class:`~repro.engine.parallel.ParallelBackend` with ``n`` workers.
-    #: Results are byte-identical either way.
-    parallel_workers: int = 0
 
     #: Route Algorithm 2 domain pruning (and the compiler's weak-label /
     #: evidence-negative scaffolding) through the set-at-a-time
@@ -218,9 +211,6 @@ class HoloCleanConfig:
             raise ValueError(
                 f"unknown engine backend {self.engine_backend!r}; "
                 f"pick one of {backend_names()}")
-        if self.parallel_workers < 0:
-            raise ValueError(
-                f"parallel_workers must be >= 0, got {self.parallel_workers}")
         if self.trace_level not in ("off", "stage", "deep"):
             raise ValueError(
                 f"trace_level must be 'off', 'stage', or 'deep', got "

@@ -479,11 +479,6 @@ class VectorPairEnumerator(PairEnumerator):
         stride = int(member_tids.max()) + 1
         units = self._stream_units(bucket_ids, member_tids, starts, sizes,
                                    per_bucket)
-        runner = getattr(backend, "stream_pair_units", None)
-        if runner is not None:
-            yield from self._parallel_stream(units, runner, backend, stride,
-                                             remaining)
-            return
         seen = np.empty(0, dtype=np.int64)
         for unit in units:
             if remaining[0] <= 0:
@@ -501,9 +496,8 @@ class VectorPairEnumerator(PairEnumerator):
         """One streamed group's work units, in chunk-emission order.
 
         Each unit is independent of the others and of any enumerator
-        state, so a sharding backend can execute a window of them
-        concurrently; executing them in order through
-        :meth:`_run_stream_unit` reproduces the sequential walk exactly.
+        state; executing them in order through :meth:`_run_stream_unit`
+        reproduces the sequential walk exactly.
         Unit kinds: ``("block", members, start, budget)`` — one bounded
         block of an oversized bucket's nested pair walk — and
         ``("domain", bucket_ids, member_tids)`` — one run of consecutive
@@ -543,53 +537,13 @@ class VectorPairEnumerator(PairEnumerator):
 
     @staticmethod
     def _run_stream_unit(unit, backend):
-        """Execute one stream unit sequentially (the oracle path)."""
+        """Execute one stream unit."""
         from repro.engine import ops
 
         if unit[0] == "block":
             left, right, _ = ops.bucket_pair_block(unit[1], unit[2], unit[3])
             return left, right
         return backend.domain_join_pairs(unit[1], unit[2])
-
-    def _parallel_stream(self, units, runner, backend, stride: int,
-                         remaining: list[int]):
-        """Execute stream units through a sharding backend, windowed.
-
-        Windows of units run concurrently on the backend's pool; results
-        come back in unit order, so the sequential dedup/budget clip
-        (:meth:`_fresh_clip`) — and therefore the emitted stream — is
-        byte-identical to the serial walk.  A window computed past the
-        ``max_pairs`` budget is discarded unprocessed, exactly where the
-        serial walk would have stopped.  If the pool degrades mid-stream
-        (``runner`` returns ``None``), the rest runs serially.
-        """
-        import itertools
-
-        seen = np.empty(0, dtype=np.int64)
-        window = max(2 * getattr(backend, "workers", 1), 2)
-        batch = list(itertools.islice(units, window))
-        while batch:
-            results = runner(batch)
-            if results is None:
-                for unit in itertools.chain(batch, units):
-                    if remaining[0] <= 0:
-                        return
-                    left, right = self._run_stream_unit(unit, backend)
-                    self.stats["chunks"] += 1
-                    chunk, seen = self._fresh_clip(left, right, stride, seen,
-                                                   remaining)
-                    if chunk is not None:
-                        yield chunk
-                return
-            for left, right in results:
-                if remaining[0] <= 0:
-                    return
-                self.stats["chunks"] += 1
-                chunk, seen = self._fresh_clip(left, right, stride, seen,
-                                               remaining)
-                if chunk is not None:
-                    yield chunk
-            batch = list(itertools.islice(units, window))
 
     def _fresh_clip(self, left: np.ndarray, right: np.ndarray, stride: int,
                     seen: np.ndarray, remaining: list[int],

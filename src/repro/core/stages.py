@@ -164,11 +164,8 @@ class RepairContext:
         built lazily on first demand and cached on the context.
         """
         if self.engine is None and self.config.use_engine:
-            self.engine = Engine(
-                self.dataset,
-                backend=self.config.engine_backend,
-                parallel_workers=self.config.parallel_workers,
-            )
+            self.engine = Engine(self.dataset,
+                                 backend=self.config.engine_backend)
         return self.engine
 
     def ensure_tracer(self) -> Tracer | None:

@@ -110,7 +110,7 @@ class VectorDomainPruner:
         return out
 
     def tally(self, cells: int, candidates: int) -> None:
-        """Account a pruning pass (also fed by the parallel dispatch)."""
+        """Account a pruning pass."""
         self.stats["prune_cells"] = int(self.stats["prune_cells"]) + cells
         self.stats["prune_candidates"] = (
             int(self.stats["prune_candidates"]) + candidates

@@ -436,56 +436,17 @@ class VectorFeaturizer:
         fallbacks = 0
         sequence = list(featurizer.constraints) + list(
             featurizer.single_constraints)
-        plan: list[tuple[int, DenialConstraint, str]] = []
         for di, dc in enumerate(sequence):
             if not all(p.is_code_comparable for p in dc.predicates):
-                mode = "naive"
-            elif dc.is_single_tuple:
-                mode = "single"
-            else:
-                mode = "pair"
-            plan.append((di, dc, mode))
-        sharded = self._dispatch_dcs(rank, sequence, plan)
-        for di, dc, mode in plan:
-            if mode == "naive":
                 out.append(self._naive_dc(rank, di, dc, featurizer))
                 fallbacks += 1
-            elif sharded is not None:
-                out.extend(sharded[di])
-            elif mode == "single":
+            elif dc.is_single_tuple:
                 out.extend(self._single_dc(rank, di, dc))
             else:
                 out.extend(self._pair_dc(rank, di, dc))
         self.stats["feature_dc_fallbacks"] = (
             int(self.stats.get("feature_dc_fallbacks", 0)) + fallbacks)
         return out
-
-    def _dispatch_dcs(self, rank: int, sequence, plan):
-        """Fan code-comparable DC evaluations out to a sharding backend.
-
-        Each worker rebuilds this featurizer's attribute blocks from the
-        shared column store (a deterministic function of the specs) and
-        evaluates whole constraints; entry batches merge back in the
-        serial walk's (constraint, attribute-block) order.  Returns
-        ``{di: [_Entries]}`` for dispatched constraints, or ``None`` to
-        keep the serial path (no sharding backend, nothing to dispatch,
-        or a broken pool).  Similarity constraints need the naive
-        per-cell oracle and always stay parent-side.
-        """
-        backend = self.engine.backend
-        dispatch = getattr(backend, "dc_feature_batches", None)
-        if dispatch is None:
-            return None
-        tasks = [(di, rank, mode) for di, _, mode in plan if mode != "naive"]
-        if not tasks:
-            return None
-        backend.configure(featurize=(
-            self._specs, self.constraints, self.context.config, sequence))
-        results = dispatch(tasks)
-        if results is None:
-            return None
-        return {di: entries
-                for (di, _, _), entries in zip(tasks, results)}
 
     def _predicate_term(self, pred, lhs_codes: np.ndarray,
                         rhs_codes: np.ndarray | None,

@@ -11,9 +11,7 @@ reproduction's equivalent subsystem:
 * :mod:`~repro.engine.stats` — :class:`EngineStatistics`, engine-computed
   frequencies and co-occurrences behind the standard ``Statistics`` API;
 * :mod:`~repro.engine.backend` — the pluggable :class:`Backend` protocol
-  with a ``register_backend`` registry (NumPy and sqlite3 built in);
-* :mod:`~repro.engine.parallel` — :class:`ParallelBackend`, multi-core
-  sharded grounding over ``multiprocessing`` + shared memory.
+  with a ``register_backend`` registry (NumPy and sqlite3 built in).
 
 The :class:`Engine` facade bundles one store with one backend and is what
 the pipeline passes to the violation detector, domain pruner, and
@@ -33,7 +31,6 @@ from repro.engine.backend import (
     make_backend,
     register_backend,
 )
-from repro.engine.parallel import ParallelBackend
 from repro.engine.store import NULL_CODE, ColumnStore
 
 
@@ -42,20 +39,16 @@ class Engine:
 
     Construction is cheap; the store and backend are built lazily on
     first use and cached.  ``refresh()`` drops them so the next access
-    re-encodes the (mutated) dataset.  ``parallel_workers > 0`` wraps the
-    named backend in a :class:`ParallelBackend` that shards grounding
-    work across that many worker processes (byte-identical results).
+    re-encodes the (mutated) dataset.
     """
 
-    def __init__(self, dataset: Dataset, backend: str = "numpy",
-                 parallel_workers: int = 0):
+    def __init__(self, dataset: Dataset, backend: str = "numpy"):
         self.dataset = dataset
         self.backend_name = backend
         if backend not in backend_names():
             raise ValueError(
                 f"unknown engine backend {backend!r}; "
                 f"pick one of {backend_names()}")
-        self.parallel_workers = int(parallel_workers)
         self._store: ColumnStore | None = None
         self._backend: Backend | None = None
         self._statistics = None
@@ -70,16 +63,7 @@ class Engine:
     @property
     def backend(self) -> Backend:
         if self._backend is None:
-            if self.backend_name == "parallel":
-                self._backend = make_backend(
-                    self.store, "parallel",
-                    workers=self.parallel_workers or None)
-            elif self.parallel_workers > 0:
-                self._backend = make_backend(
-                    self.store, "parallel", workers=self.parallel_workers,
-                    inner=self.backend_name)
-            else:
-                self._backend = make_backend(self.store, self.backend_name)
+            self._backend = make_backend(self.store, self.backend_name)
         return self._backend
 
     def statistics(self):
@@ -93,7 +77,7 @@ class Engine:
         return self._statistics
 
     def close(self) -> None:
-        """Release backend resources (worker pools, shared memory, DBs)."""
+        """Release backend resources (the SQLite connection)."""
         backend = self._backend
         if backend is not None:
             close = getattr(backend, "close", None)
@@ -116,23 +100,12 @@ class Engine:
         return f"Engine(backend={self.backend_name!r}, dataset={self.dataset.name!r})"
 
 
-def __getattr__(name: str):
-    # Live view: resolved on access so it includes every backend
-    # registered by the time the caller asks (including "parallel",
-    # which registers after repro.engine.backend is imported).
-    if name == "BACKEND_NAMES":
-        return backend_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
-    "BACKEND_NAMES",
     "Backend",
     "ColumnStore",
     "Engine",
     "NULL_CODE",
     "NumpyBackend",
-    "ParallelBackend",
     "SQLiteBackend",
     "backend_names",
     "make_backend",

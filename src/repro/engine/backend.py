@@ -358,8 +358,7 @@ def backend_names() -> tuple[str, ...]:
 def make_backend(store: ColumnStore, name: str = "numpy", **options) -> Backend:
     """Instantiate the named registered backend over a column store.
 
-    ``options`` are forwarded to the backend factory (e.g.
-    ``workers=`` / ``inner=`` for the parallel backend).
+    ``options`` are forwarded to the backend factory.
     """
     try:
         factory = _BACKENDS[name]
@@ -372,12 +371,3 @@ def make_backend(store: ColumnStore, name: str = "numpy", **options) -> Backend:
 
 register_backend("numpy", NumpyBackend)
 register_backend("sqlite", SQLiteBackend)
-
-
-def __getattr__(name: str):
-    # ``BACKEND_NAMES`` is kept for backwards compatibility but computed
-    # on access: a module-load-time snapshot would miss backends that
-    # register after this module imports (e.g. "parallel").
-    if name == "BACKEND_NAMES":
-        return backend_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

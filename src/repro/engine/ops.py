@@ -310,8 +310,7 @@ def bucket_block_end(size: int, start: int, budget: int) -> int:
     """The ``end`` :func:`bucket_pair_block` picks for a bucket of ``size``.
 
     Exposed separately so a scheduler can pre-compute block boundaries
-    (and fan the blocks out to workers) while remaining byte-identical to
-    the sequential walk.
+    while remaining byte-identical to the sequential walk.
     """
     opened = size - 1 - np.arange(start, size - 1)
     cumulative = np.cumsum(opened)

@@ -67,28 +67,6 @@ class ColumnStore:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    @classmethod
-    def from_arrays(cls, dataset: Dataset,
-                    codes: dict[str, np.ndarray],
-                    values: dict[str, list[str]]) -> ColumnStore:
-        """Adopt already-encoded columns instead of re-encoding the dataset.
-
-        ``codes``/``values`` must be a faithful dictionary encoding of
-        ``dataset`` in first-seen order (e.g. another store's arrays
-        shipped through shared memory); no copy of the code arrays is
-        made, so workers can view them zero-copy from a shared block.
-        """
-        store = cls.__new__(cls)
-        store.dataset = dataset
-        store.attributes = list(dataset.schema.names)
-        store._codes = {a: np.asarray(codes[a], dtype=np.int32)
-                        for a in store.attributes}
-        store._values = {a: list(values[a]) for a in store.attributes}
-        store._code_of = {a: {v: i for i, v in enumerate(store._values[a])}
-                          for a in store.attributes}
-        store._shared = {}
-        return store
-
     def _encode(self, dataset: Dataset) -> None:
         n = dataset.num_tuples
         columns = {a: np.full(n, NULL_CODE, dtype=np.int32)

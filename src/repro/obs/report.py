@@ -24,7 +24,7 @@ from pathlib import Path
 from repro.obs.fingerprint import config_fingerprint
 from repro.obs.trace import Span
 
-__all__ = ["RunReport", "build_run_report", "config_fingerprint"]
+__all__ = ["RunReport", "build_run_report"]
 
 #: Character budget of the flamegraph bar column in :meth:`render_text`.
 _BAR_WIDTH = 24

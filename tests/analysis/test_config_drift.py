@@ -43,11 +43,7 @@ def run_checker(make_ctx, make_module, doc, config_source=CONFIG_SOURCE):
         make_module("src/repro/engine/backend.py", BACKEND_SOURCE),
         docs={DOC_REL: doc},
     )
-    # The live-registry snapshot check concerns the real installed
-    # package, not the fixture; keep fixture assertions static-only.
-    checker = ConfigDriftChecker()
-    checker._check_snapshot = lambda ctx: []
-    return checker.check(ctx)
+    return ConfigDriftChecker().check(ctx)
 
 
 def test_in_sync_doc_is_clean(make_ctx, make_module):
@@ -81,12 +77,3 @@ def test_undocumented_backend_flagged(make_ctx, make_module):
 def test_real_repo_config_docs_in_sync(repo_ctx):
     findings = ConfigDriftChecker().check(repo_ctx)
     assert findings == [], [f.render() for f in findings]
-
-
-def test_live_backend_names_include_parallel():
-    """The exported BACKEND_NAMES view must track late registrations."""
-    import repro.engine as engine
-    from repro.engine.backend import backend_names
-
-    assert "parallel" in engine.BACKEND_NAMES
-    assert tuple(engine.BACKEND_NAMES) == tuple(backend_names())

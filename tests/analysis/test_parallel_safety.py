@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.analysis.parallel_safety import ParallelSafetyChecker
 
-REL = "src/repro/engine/parallel.py"
+REL = "src/repro/serve/service.py"
 
 
 def check(make_ctx, module):

@@ -1,4 +1,4 @@
-"""The CI regression gate: compare() math, min_cpus gating, exit codes."""
+"""The CI regression gate: compare() math and exit codes."""
 
 from __future__ import annotations
 
@@ -96,47 +96,6 @@ def test_missing_metric_key_exit_one(gate, tmp_path, capsys):
 
 def test_unreadable_baselines_exit_two(gate, tmp_path):
     assert gate.main(["--baselines", str(tmp_path / "absent.json")]) == 2
-
-
-def test_min_cpus_pin_skipped_on_small_runner(gate, tmp_path, capsys):
-    baselines = {
-        "bench": {
-            "metrics": {
-                "speedup": {"value": 5.0, "direction": "higher", "min_cpus": 64}
-            }
-        }
-    }
-    results = {"bench": {"metrics": {"speedup": 0.1}, "meta": {"cpus": 2}}}
-    argv = write_setup(tmp_path, baselines, results)
-    assert gate.main(argv) == 0
-    out = capsys.readouterr().out
-    assert "skip bench.speedup" in out
-    assert "all 0 pinned metric(s)" in out
-
-
-def test_min_cpus_pin_checked_on_big_runner(gate, tmp_path):
-    baselines = {
-        "bench": {
-            "metrics": {
-                "speedup": {"value": 5.0, "direction": "higher", "min_cpus": 2}
-            }
-        }
-    }
-    results = {"bench": {"metrics": {"speedup": 0.1}, "meta": {"cpus": 8}}}
-    assert gate.main(write_setup(tmp_path, baselines, results)) == 1
-
-
-def test_min_cpus_pin_skipped_when_cpus_unknown(gate, tmp_path, capsys):
-    baselines = {
-        "bench": {
-            "metrics": {
-                "speedup": {"value": 5.0, "direction": "higher", "min_cpus": 2}
-            }
-        }
-    }
-    results = {"bench": {"metrics": {"speedup": 0.1}}}
-    assert gate.main(write_setup(tmp_path, baselines, results)) == 0
-    assert "unknown" in capsys.readouterr().out
 
 
 def test_repo_baselines_file_is_well_formed(gate):

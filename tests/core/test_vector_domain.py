@@ -245,14 +245,3 @@ class TestPipelineParity:
         assert vector_report["grounding_prune_cells"] > 0
         assert vector_report["grounding_prune_candidates"] > 0
         assert "grounding_prune_path" not in naive_report
-
-    def test_parallel_workers_share_prune_counters(self, hospital):
-        serial, serial_report = self._run(hospital)
-        parallel, parallel_report = self._run(hospital, parallel_workers=2)
-        assert parallel == serial
-        for key in (
-            "grounding_prune_path",
-            "grounding_prune_cells",
-            "grounding_prune_candidates",
-        ):
-            assert parallel_report[key] == serial_report[key]

@@ -3,10 +3,18 @@
 import numpy as np
 import pytest
 
+import repro
+from repro.core.config import HoloCleanConfig
 from repro.dataset.dataset import Dataset
 from repro.dataset.schema import Schema
-from repro.engine import Engine, make_backend
-from repro.engine.backend import Backend, NumpyBackend, SQLiteBackend
+from repro.engine import Engine, make_backend, register_backend
+from repro.engine.backend import (
+    _BACKENDS,
+    Backend,
+    NumpyBackend,
+    SQLiteBackend,
+    backend_names,
+)
 from repro.engine.store import ColumnStore
 
 
@@ -98,6 +106,67 @@ class TestFactory:
     def test_engine_validates_backend_name(self, dataset):
         with pytest.raises(ValueError, match="unknown engine backend"):
             Engine(dataset, backend="duckdb")
+
+
+class TestRegistry:
+    def test_builtins_self_register(self):
+        assert backend_names() == ("numpy", "sqlite")
+
+    def test_duplicate_name_rejected(self):
+        with pytest.raises(ValueError, match="already registered"):
+            register_backend("numpy", NumpyBackend)
+
+    def test_invalid_name_rejected(self):
+        with pytest.raises(ValueError, match="non-empty string"):
+            register_backend("", NumpyBackend)
+
+    def test_register_replace_and_config_validation(self, dataset):
+        calls = []
+
+        def factory(store, **options):
+            calls.append(options)
+            return NumpyBackend(store)
+
+        register_backend("test-dummy", factory)
+        try:
+            assert "test-dummy" in backend_names()
+            # Config validation reads the live registry: a just-registered
+            # backend is accepted with no core edits.
+            config = HoloCleanConfig(engine_backend="test-dummy")
+            assert config.engine_backend == "test-dummy"
+            store = ColumnStore(dataset)
+            backend = make_backend(store, "test-dummy", flag=1)
+            assert isinstance(backend, NumpyBackend)
+            assert calls == [{"flag": 1}]
+            register_backend("test-dummy", NumpyBackend, replace=True)
+            assert isinstance(make_backend(store, "test-dummy"), NumpyBackend)
+        finally:
+            _BACKENDS.pop("test-dummy", None)
+
+    def test_unknown_backend_raises(self, dataset):
+        store = ColumnStore(dataset)
+        with pytest.raises(ValueError, match="unknown engine backend"):
+            make_backend(store, "postgres")
+        with pytest.raises(ValueError, match="unknown engine backend"):
+            HoloCleanConfig(engine_backend="postgres")
+        with pytest.raises(ValueError, match="unknown engine backend"):
+            Engine(dataset, backend="duckdb")
+
+    def test_staged_api_exports(self):
+        for name in (
+            "RepairContext",
+            "RepairPlan",
+            "DetectStage",
+            "CompileStage",
+            "LearnStage",
+            "InferStage",
+            "ApplyStage",
+            "RunReport",
+            "register_backend",
+            "backend_names",
+        ):
+            assert name in repro.__all__
+            assert getattr(repro, name) is not None
 
 
 class TestEngineFacade:

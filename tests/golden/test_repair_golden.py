@@ -102,7 +102,7 @@ def test_repair_independent_of_hash_seed():
     digests = []
     for hash_seed in ("0", "12345"):
         env = {**os.environ, "PYTHONHASHSEED": hash_seed,
-               "PYTHONPATH": os.pathsep.join([str(REPO / "src"), str(REPO)])}
+               "PYTHONPATH": str(REPO / "src")}
         out = subprocess.run(
             [sys.executable, str(Path(__file__)), "--digest", "hospital",
              "default"],

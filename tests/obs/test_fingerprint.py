@@ -77,13 +77,6 @@ class TestConfigFingerprint:
             HoloCleanConfig(epochs=7)
         )
 
-    def test_report_module_reexport(self):
-        # config_fingerprint predates the fingerprint module; the old
-        # import path must keep working.
-        from repro.obs.report import config_fingerprint as legacy
-
-        assert legacy is config_fingerprint
-
 
 class TestCombine:
     def test_deterministic_and_sized(self):

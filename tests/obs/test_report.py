@@ -5,7 +5,8 @@ from dataclasses import dataclass, field
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.report import RunReport, build_run_report, config_fingerprint
+from repro.obs.fingerprint import config_fingerprint
+from repro.obs.report import RunReport, build_run_report
 from repro.obs.trace import Tracer
 
 

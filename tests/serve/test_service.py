@@ -195,9 +195,14 @@ class TestValidation:
         with pytest.raises(BadRequest, match="constraints"):
             ephemeral_service.repair({"dataset": {"columns": ["A"], "rows": [["x"]]}})
 
-    def test_unknown_config_field(self, ephemeral_service, hospital):
+    @pytest.mark.parametrize("override", [
+        {"no_such_knob": 1},
+        {"parallel_workers": 2},
+        {"engine_backend": "parallel"},
+    ], ids=["no_such_knob", "parallel_workers", "parallel_backend"])
+    def test_unknown_config_field(self, ephemeral_service, hospital, override):
         payload = payload_for(hospital)
-        payload["config"]["no_such_knob"] = 1
+        payload["config"].update(override)
         with pytest.raises(BadRequest, match="config"):
             ephemeral_service.repair(payload)
 
